@@ -157,3 +157,51 @@ func TestBenchCheckToleranceOverride(t *testing.T) {
 		t.Fatalf("1.46x must pass at 1.50 tolerance, got %v:\n%s", err, out)
 	}
 }
+
+// hostBaseline is goodBaseline as scripts/bench.sh sim now writes it:
+// each line carries the facts of the host that measured it.
+const hostBaseline = `{"benchmark":"BenchmarkBottleneckDropTail","ns_op":13.69,"bytes_op":0,"allocs_op":0,"host_nproc":64,"host_cpu":"Example CPU @ 3.0GHz","host_go":"go1.99.0"}
+{"benchmark":"BenchmarkBottleneckSteadyState","ns_op":57.00,"bytes_op":0,"allocs_op":0,"host_nproc":64,"host_cpu":"Example CPU @ 3.0GHz","host_go":"go1.99.0"}
+`
+
+// TestBenchCheckHostFacts: host facts on baseline lines parse, and a
+// regression names both the baseline's host and this one, so a
+// cross-host comparison is visible as such.
+func TestBenchCheckHostFacts(t *testing.T) {
+	if out, err := runCheck(t, hostBaseline, goodRaw); err != nil {
+		t.Fatalf("clean run against a baseline with host facts must pass, got %v:\n%s", err, out)
+	}
+	slow := strings.Replace(goodRaw, "14.00", "40.00", 1)
+	out, err := runCheck(t, hostBaseline, slow)
+	if err == nil {
+		t.Fatalf("3x ns/op regression must fail:\n%s", out)
+	}
+	for _, want := range []string{
+		"baseline host of BenchmarkBottleneckDropTail: nproc=64 cpu=Example CPU @ 3.0GHz go=go1.99.0",
+		"bench-check: this host: nproc=",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("regression report lacks %q:\n%s", want, out)
+		}
+	}
+	// A line without host facts (the format before they were recorded)
+	// says so instead of guessing.
+	out, _ = runCheck(t, goodBaseline, slow)
+	if !strings.Contains(out, "baseline host of BenchmarkBottleneckDropTail: not recorded") {
+		t.Fatalf("regression against a baseline without host facts must say so:\n%s", out)
+	}
+}
+
+// TestBenchCheckRefusalsWithHostFacts: host facts do not weaken the
+// malformed-line and empty-reduction refusals.
+func TestBenchCheckRefusalsWithHostFacts(t *testing.T) {
+	malformed := hostBaseline + `{"benchmark":"BenchmarkBroken","host_nproc":64,"host_cpu":"x","host_go":"go1.99.0"}` + "\n"
+	out, err := runCheck(t, malformed, goodRaw)
+	if err == nil || !strings.Contains(out, "malformed") {
+		t.Fatalf("malformed baseline line with host facts must be refused (err %v):\n%s", err, out)
+	}
+	out, err = runCheck(t, hostBaseline, "")
+	if err == nil || !strings.Contains(out, "no results") {
+		t.Fatalf("empty reduction must be refused (err %v):\n%s", err, out)
+	}
+}

@@ -91,11 +91,14 @@ type Bottleneck struct {
 	samples     []OccupancySample
 	sampling    bool
 
-	// serDoneEv and deliverEv are the two hot-path callbacks, prebound once
-	// at construction and scheduled with AfterArg carrying the packet: the
-	// steady-state forwarding loop allocates no closures.
-	serDoneEv sim.ArgEvent
-	deliverEv sim.ArgEvent
+	// serDoneEv is the serializer's hot-path callback, prebound once at
+	// construction and scheduled with AfterArg carrying the packet: the
+	// steady-state forwarding loop allocates no closures. deliverLane is
+	// the downstream delay line: serializations end in order and the
+	// delay is fixed, so deliveries form one FIFO lane (sim.Lane) that
+	// holds a single heap entry however many packets are on the wire.
+	serDoneEv   sim.ArgEvent
+	deliverLane *sim.Lane
 
 	// memoSize/memoRate/memoSer memoize SerializationDelay for the common
 	// case of back-to-back same-size packets (MTU-filled bulk flows). The
@@ -141,7 +144,7 @@ func NewBottleneck(eng *sim.Engine, rateBps int64, capacityPkts int, downstream 
 		queue:           make([]*Packet, capacityPkts),
 	}
 	b.serDoneEv = b.serDone
-	b.deliverEv = b.deliver
+	b.deliverLane = eng.NewLane(b.deliver)
 	return b
 }
 
@@ -241,7 +244,7 @@ func (b *Bottleneck) serDone(done sim.Time, arg any) {
 	st.DeliveredPackets++
 	st.DeliveredBytes += int64(p.Size)
 	if b.Output != nil {
-		b.eng.AfterArg(b.DownstreamDelay, b.deliverEv, p)
+		b.deliverLane.After(b.DownstreamDelay, p)
 	} else if b.release != nil {
 		b.release(p)
 	}

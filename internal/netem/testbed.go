@@ -82,10 +82,12 @@ type Testbed struct {
 	// returns). Handlers must not retain packets past their call.
 	pool sim.Pool[Packet]
 
-	// arriveEv and ackEv are the prebound per-packet events for the
-	// upstream and ACK-return hops; see Bottleneck for the pattern.
-	arriveEv sim.ArgEvent
-	ackEv    sim.ArgEvent
+	// arriveLanes and ackLanes are each flow's upstream and ACK-return
+	// delay lines (sim.Lane): per flow, arrivals are strictly increasing
+	// (lastArrival) and ACK returns non-decreasing, so each hop keeps one
+	// engine heap entry however many packets it carries.
+	arriveLanes []*sim.Lane
+	ackLanes    []*sim.Lane
 
 	// UpstreamJitter is the maximum uniform per-packet delay jitter on
 	// the server→switch hop. Real Internet paths exhibit millisecond
@@ -158,8 +160,6 @@ func NewTestbed(eng *sim.Engine, cfg Config, rng *sim.RNG) *Testbed {
 	tb.Bneck = NewBottleneck(eng, cfg.RateBps, cfg.queueCapacity(), down)
 	tb.Bneck.Output = tb.deliverToClient
 	tb.Bneck.release = tb.ReleasePacket
-	tb.arriveEv = tb.arrive
-	tb.ackEv = tb.ackArrive
 	if cfg.Noise != nil {
 		tb.noise = newNoiseInjector(eng, rng, *cfg.Noise)
 	}
@@ -184,6 +184,8 @@ func (tb *Testbed) RegisterFlow(service int, toClient, toServer Handler) int {
 	}
 	tb.flows = append(tb.flows, endpoint{service: service, toClient: toClient, toServer: toServer})
 	tb.lastArrival = append(tb.lastArrival, 0)
+	tb.arriveLanes = append(tb.arriveLanes, tb.Eng.NewLane(tb.arrive))
+	tb.ackLanes = append(tb.ackLanes, tb.Eng.NewLane(tb.ackArrive))
 	return len(tb.flows) - 1
 }
 
@@ -207,14 +209,13 @@ func (tb *Testbed) SendData(now sim.Time, p *Packet) {
 		delay += tb.rng.Duration(tb.UpstreamJitter)
 	}
 	// Keep arrivals within a flow in order despite the jitter.
+	fid := p.FlowID
 	arrival := now + delay
-	if fid := p.FlowID; fid >= 0 && fid < len(tb.lastArrival) {
-		if arrival <= tb.lastArrival[fid] {
-			arrival = tb.lastArrival[fid] + sim.Nanosecond
-		}
-		tb.lastArrival[fid] = arrival
+	if arrival <= tb.lastArrival[fid] {
+		arrival = tb.lastArrival[fid] + sim.Nanosecond
 	}
-	tb.Eng.ScheduleArg(arrival, tb.arriveEv, p)
+	tb.lastArrival[fid] = arrival
+	tb.arriveLanes[fid].Schedule(arrival, p)
 }
 
 // arrive fires when a data packet reaches the switch after the upstream
@@ -245,7 +246,7 @@ func (tb *Testbed) SendAck(now sim.Time, p *Packet) {
 	if stall := tb.stallUntil[ep.service]; at < stall {
 		at = stall
 	}
-	tb.Eng.ScheduleArg(at, tb.ackEv, p)
+	tb.ackLanes[p.FlowID].Schedule(at, p)
 }
 
 // ackArrive fires when an ACK reaches the server. The endpoint is looked

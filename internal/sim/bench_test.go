@@ -57,3 +57,41 @@ func BenchmarkEngineTimerChurn(b *testing.B) {
 		e.Step()
 	}
 }
+
+// BenchmarkEngineDelayLine measures a propagation hop with 4096 packets
+// in flight: each event re-sends its packet after the same fixed delay,
+// so the deadlines form one FIFO stream. "lane" carries the stream on a
+// Lane, which keeps one heap entry; "heap" schedules every packet with
+// ScheduleArg, the heap holding all 4096. Each iteration is one
+// dispatched packet.
+func BenchmarkEngineDelayLine(b *testing.B) {
+	const inFlight = 4096
+	const delay = inFlight * Microsecond
+	pkts := make([]int, inFlight)
+	b.Run("lane", func(b *testing.B) {
+		e := NewEngine()
+		var l *Lane
+		l = e.NewLane(func(now Time, arg any) { l.Schedule(now+delay, arg) })
+		for i := range pkts {
+			l.Schedule(Time(i)*Microsecond, &pkts[i])
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.Step()
+		}
+	})
+	b.Run("heap", func(b *testing.B) {
+		e := NewEngine()
+		var fn ArgEvent
+		fn = func(now Time, arg any) { e.ScheduleArg(now+delay, fn, arg) }
+		for i := range pkts {
+			e.ScheduleArg(Time(i)*Microsecond, fn, &pkts[i])
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.Step()
+		}
+	})
+}

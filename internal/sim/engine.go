@@ -19,7 +19,8 @@ type ArgEvent func(now Time, arg any)
 // set. seq breaks ties so that events scheduled for the same instant run
 // in FIFO order, keeping the simulation deterministic — and because
 // (at, seq) is a strict total order, dispatch order is independent of the
-// heap's internal layout.
+// heap's internal layout. cancel is the entry's handle: a Timer's, or a
+// Lane's for the lane's head entry.
 type scheduled struct {
 	at     Time
 	seq    uint64
@@ -40,10 +41,13 @@ func lessScheduled(a, b *scheduled) bool {
 // reused across arm/cancel cycles with Reset, which is how the transport
 // hot path (RTO re-arm on every ACK, pacing on every send) avoids
 // allocating a handle per arm. idx is the entry's index in the event
-// queue, -1 when idle (fired, stopped, or never armed).
+// queue, -1 when idle (fired, stopped, or never armed). A Lane tracks its
+// head entry through the same handle, with lane set; that handle is never
+// exposed, so it is never stopped.
 type Timer struct {
 	engine *Engine
 	idx    int
+	lane   *Lane
 }
 
 // NewTimer returns an idle reusable timer. Arm it with Reset.
@@ -89,6 +93,9 @@ type Engine struct {
 	now    Time
 	seq    uint64
 	events []scheduled
+	// backlog counts lane entries waiting behind their lane's head (see
+	// Lane); they are pending but not in events.
+	backlog int
 	// Ran counts executed events, useful for budget checks in tests.
 	ran uint64
 	// abort, when set, is polled by the run loops (see SetAbort).
@@ -130,8 +137,9 @@ func (e *Engine) Now() Time { return e.now }
 // EventsRun reports the number of events executed so far.
 func (e *Engine) EventsRun() uint64 { return e.ran }
 
-// Pending reports the number of events waiting in the queue.
-func (e *Engine) Pending() int { return len(e.events) }
+// Pending reports the number of events waiting in the queue, lane
+// backlogs included.
+func (e *Engine) Pending() int { return len(e.events) + e.backlog }
 
 // push appends an entry and restores the heap property.
 func (e *Engine) push(s scheduled) {
@@ -291,6 +299,10 @@ func (e *Engine) Step() bool {
 	if len(e.events) == 0 {
 		return false
 	}
+	if t := e.events[0].cancel; t != nil && t.lane != nil && t.lane.n > 0 {
+		e.stepLane(t.lane)
+		return true
+	}
 	s := e.popRoot()
 	if s.cancel != nil {
 		s.cancel.idx = -1
@@ -303,6 +315,18 @@ func (e *Engine) Step() bool {
 		s.fn(e.now)
 	}
 	return true
+}
+
+// stepLane is Step for a root that is the head of lane l with a backlog:
+// the head's successor takes the root slot directly, one sift instead of
+// a pop and a push.
+func (e *Engine) stepLane(l *Lane) {
+	s := e.events[0]
+	e.events[0] = l.next()
+	e.siftDown(0)
+	e.now = s.at
+	e.ran++
+	s.argFn(e.now, s.arg)
 }
 
 // RunUntil executes events until the clock would pass deadline or the

@@ -7,15 +7,32 @@
 #
 #   scripts/bench.sh sim [benchtime]
 #                                  hot-path benchmarks (BenchmarkEngine*,
-#                                  BenchmarkBottleneck*) -> BENCH_sim.json, one JSON
-#                                  object per line with the pre-optimization baseline
-#                                  (scripts/bench_baseline_sim.json) and the speedup
-#                                  against it
+#                                  BenchmarkBottleneck*) -> BENCH_sim.json (or
+#                                  $BENCH_SIM_OUT), one JSON object per line with
+#                                  the pre-optimization baseline
+#                                  (scripts/bench_baseline_sim.json), the speedup
+#                                  against it, and the facts of the host that
+#                                  measured it (host_nproc, host_cpu, host_go)
 #
 #   scripts/bench.sh -check        regression gate: re-run the hot-path benchmarks
 #                                  (-count=3, min per benchmark) and fail if any
 #                                  ns/op regresses more than 10% over the committed
-#                                  BENCH_sim.json, or any allocs/op exceeds it
+#                                  BENCH_sim.json (or $BENCH_SIM_OUT), or any
+#                                  allocs/op exceeds it. A regression report names
+#                                  both hosts.
+#
+# ns/op is only comparable on one host: the committed BENCH_sim.json was
+# measured on whatever host its line names, and a slower host fails the
+# gate with no change to the code. To judge a change, record the parent
+# commit's numbers on the same host and check against them:
+#
+#     git stash            # or check out the parent commit
+#     BENCH_SIM_OUT=/tmp/parent_sim.json scripts/bench.sh sim
+#     git stash pop        # back to the change
+#     BENCH_SIM_OUT=/tmp/parent_sim.json scripts/bench.sh -check
+#
+# A benchmark the change adds has no parent entry and is reported as
+# such; its allocs/op is still visible in the run output.
 #
 #   scripts/bench.sh adaptive [benchtime]
 #                                  adaptive trial-budget benchmark
@@ -70,6 +87,37 @@ json_field() {
         }' "$1"
 }
 
+# host_cpu — this host's CPU model, quote-free so it can sit in JSON.
+host_cpu() {
+    local cpu
+    cpu="$(awk -F: '/^model name/ { sub(/^[ \t]+/, "", $2); print $2; exit }' /proc/cpuinfo 2>/dev/null | tr -d '"\\')"
+    echo "${cpu:-unknown}"
+}
+
+# host_facts — this host's facts as JSON fields, for BENCH_sim.json lines.
+host_facts() {
+    printf '"host_nproc":%s,"host_cpu":"%s","host_go":"%s"' \
+        "$(getconf _NPROCESSORS_ONLN)" "$(host_cpu)" "$(go env GOVERSION)"
+}
+
+# json_host FILE BENCH — the host facts on BENCH's line of FILE, as
+# "nproc=N cpu=... go=...", or "not recorded" for a line without them.
+json_host() {
+    awk -v bench="$2" '
+        function str(f,   v) {
+            if (!match($0, "\"" f "\":(\"[^\"]*\"|[0-9]+)")) return ""
+            v = substr($0, RSTART, RLENGTH)
+            sub(/^"[^"]*":/, "", v); gsub(/"/, "", v)
+            return v
+        }
+        index($0, "\"benchmark\":\"" bench "\"") {
+            n = str("host_nproc"); c = str("host_cpu"); g = str("host_go")
+            if (n == "" && c == "" && g == "") print "not recorded"
+            else printf "nproc=%s cpu=%s go=%s\n", n, c, g
+            exit
+        }' "$1"
+}
+
 # run_sim_bench COUNT BENCHTIME RAWFILE — run the hot-path benchmarks and
 # reduce to "name ns_op bytes_op allocs_op simsec_wallsec" lines, taking the
 # min ns/op (max simsec/wallsec) across repetitions.
@@ -104,11 +152,14 @@ run_sim_bench() {
 
 sim_mode() {
     local benchtime="${1:-1s}"
+    local sim_out="${BENCH_SIM_OUT:-$SIM_OUT}"
     RAWTMP="$(mktemp)"
     trap 'rm -f "$RAWTMP"' EXIT
     local raw="$RAWTMP"
     run_sim_bench 3 "$benchtime" "$raw"
-    : > "$SIM_OUT"
+    local host
+    host="$(host_facts)"
+    : > "$sim_out"
     while read -r name ns by al sw; do
         base_ns="$(json_field "$SIM_BASELINE" "$name" ns_op)"
         base_al="$(json_field "$SIM_BASELINE" "$name" allocs_op)"
@@ -120,11 +171,11 @@ sim_mode() {
             speedup="$(awk -v b="$base_ns" -v c="$ns" 'BEGIN { printf "%.2f", (c > 0 ? b / c : 0) }')"
             line="$line,\"baseline_ns_op\":$base_ns,\"baseline_allocs_op\":${base_al:-0},\"speedup\":$speedup"
         fi
-        echo "$line}" >> "$SIM_OUT"
+        echo "$line,$host}" >> "$sim_out"
     done < "$raw"
     echo
-    echo "wrote $SIM_OUT:"
-    cat "$SIM_OUT"
+    echo "wrote $sim_out:"
+    cat "$sim_out"
 }
 
 # check_mode fails LOUDLY on every degenerate input. The old version
@@ -186,7 +237,7 @@ check_mode() {
         exit 1
     fi
 
-    local fail=0
+    local fail=0 regressed=""
     while read -r name ns by al sw; do
         ref_ns="$(json_field "$sim_out" "$name" ns_op)"
         ref_al="$(json_field "$sim_out" "$name" allocs_op)"
@@ -198,12 +249,23 @@ check_mode() {
         if awk -v c="$ns" -v r="$ref_ns" -v t="$tol" 'BEGIN { exit !(c > t * r) }'; then
             echo "bench-check: $name regressed: $ns ns/op > $tol x committed $ref_ns" >&2
             fail=1
+            regressed="$regressed $name"
         fi
         if [ "$al" -gt "${ref_al:-0}" ]; then
             echo "bench-check: $name allocates more: $al allocs/op > committed ${ref_al:-0}" >&2
             fail=1
+            regressed="$regressed $name"
         fi
     done < "$raw"
+
+    # ns/op from different hosts is not comparable: name both, so a
+    # cross-host "regression" is recognisable as one.
+    if [ -n "$regressed" ]; then
+        echo "bench-check: this host: nproc=$(getconf _NPROCESSORS_ONLN) cpu=$(host_cpu) go=$(go env GOVERSION)" >&2
+        for name in $(printf '%s\n' $regressed | sort -u); do
+            echo "bench-check: baseline host of $name: $(json_host "$sim_out" "$name")" >&2
+        done
+    fi
 
     # Bidirectional coverage: a benchmark present in the baseline but
     # absent from the fresh run means the gate silently stopped guarding

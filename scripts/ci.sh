@@ -420,10 +420,14 @@ fi
 # queue's structural invariants (occupancy, FIFO, byte conservation).
 # Long exploratory campaigns run out-of-band; this catches gross
 # regressions on every CI pass.
+# The second target runs random engine programs on delay lanes and on
+# plain ScheduleArg and requires the same dispatch stream.
 if [ "$SHORT" -eq 1 ]; then
     go test -run '^$' -fuzz '^FuzzBottleneckQueue$' -fuzztime=5s ./internal/netem
+    go test -run '^$' -fuzz '^FuzzLaneMatchesHeap$' -fuzztime=5s ./internal/sim
 else
     go test -run '^$' -fuzz '^FuzzBottleneckQueue$' -fuzztime=10s ./internal/netem
+    go test -run '^$' -fuzz '^FuzzLaneMatchesHeap$' -fuzztime=10s ./internal/sim
 fi
 
 # The race detector slows the simulation-heavy core tests well past the
